@@ -3,7 +3,12 @@
 Every experiment bench times its core operation with pytest-benchmark
 and archives the experiment's result table under
 ``benchmarks/results/`` — those files are the "rows/series the paper
-reports" (see EXPERIMENTS.md for the paper-vs-measured discussion).
+reports"; each bench's docstring states the paper claim it checks.
+
+Run the claims without timing them (the CI ``paper-claims`` job)::
+
+    PYTHONPATH=src python -m pytest benchmarks \
+        -o python_files='bench_*.py' --benchmark-disable -q
 """
 
 import pathlib

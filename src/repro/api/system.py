@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.api.pipeline import (
     DocumentLike,
     MessageLike,
     Pipeline,
+    _resolve_strategy,
     content_fingerprint,
     scheme_content_key,
 )
 from repro.core.crypto import KeyedPRF
 from repro.core.decoder import DetectionResult
 from repro.core.encoder import EmbeddingResult
-from repro.core.fingerprint import TraceResult
+from repro.core.fingerprint import TraceResult, sweep
 from repro.core.record import WatermarkRecord
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
@@ -45,6 +46,38 @@ SchemeLike = Union[str, WatermarkingScheme, dict]
 #: schemes can arrive from the wire on every request, so they evict
 #: least-recently-used beyond this many distinct deployments.
 CONTENT_CACHE_MAX = 64
+
+
+def trace_entries(document: Document, entries: list[RegistryRecord],
+                  pipeline_for: Callable[[RegistryRecord], Pipeline],
+                  *,
+                  shape: Optional[DocumentShape],
+                  strategy: str,
+                  recipients: Optional[Iterable[str]],
+                  known: Callable[[], list[str]]) -> TraceResult:
+    """Sweep persisted registry entries against a suspected leak.
+
+    The trace of both :meth:`WmXMLSystem.trace` and
+    :meth:`repro.tenants.TenantDirectory.trace`.  ``entries`` come in
+    sequence order and ``pipeline_for`` names the pipeline each one
+    verifies under.  ``recipients`` restricts the sweep; naming an
+    identity no entry carries raises :class:`UnknownRecipientError`
+    hinting ``known()``.  Pipelines are looked up lazily, one entry at
+    a time, so the sweep never pins more compiled pipelines than their
+    caches hold.
+    """
+    if recipients is not None:
+        wanted = set(recipients)
+        missing = wanted - {entry.recipient for entry in entries}
+        if missing:
+            raise UnknownRecipientError(sorted(missing)[0], known=known())
+        entries = [entry for entry in entries if entry.recipient in wanted]
+    indexed = _resolve_strategy(strategy)
+    return sweep(document, (
+        pipeline_for(entry).trace_candidate(
+            entry.recipient, entry.record,
+            entry.sequence if entry.sequence is not None else 0, shape)
+        for entry in entries), indexed=indexed)
 
 
 class WmXMLSystem:
@@ -431,6 +464,14 @@ class WmXMLSystem:
                                processes=processes, output=output,
                                recipient=recipient)
 
+    def entry_pipeline(self, scheme: SchemeLike,
+                       entry: RegistryRecord) -> Pipeline:
+        """The pipeline that verifies a persisted record: the derived
+        key for a fingerprinted copy, the system key otherwise."""
+        if entry.keying == "recipient":
+            return self.recipient_pipeline(scheme, entry.recipient)
+        return self.pipeline(scheme)
+
     def trace(self, scheme: SchemeLike, document: Document,
               *,
               shape: Optional[DocumentShape] = None,
@@ -444,36 +485,20 @@ class WmXMLSystem:
         copies); each recipient keeps their strongest verdict (lowest
         p-value; ties keep the earlier record).  ``recipients``
         restricts the sweep and must name known identities.
+
+        Cost: the leak is shredded and indexed once per trace; each
+        record then costs its key authentication and a vote tally
+        against that index (``strategy="scan"`` evaluates every query
+        as XPath instead).
         """
         registry = self._require_registry()
-        scheme_fingerprint = self.scheme_fingerprint(scheme)
-        entries = registry.records(scheme_fingerprint=scheme_fingerprint)
-        if recipients is not None:
-            wanted = set(recipients)
-            known = {entry.recipient for entry in entries}
-            missing = wanted - known
-            if missing:
-                raise UnknownRecipientError(
-                    sorted(missing)[0], known=registry.recipients())
-            entries = [entry for entry in entries
-                       if entry.recipient in wanted]
-        best: dict[str, tuple[tuple, DetectionResult]] = {}
-        for entry in entries:
-            if entry.keying == "recipient":
-                pipeline = self.recipient_pipeline(scheme, entry.recipient)
-            else:
-                pipeline = self.pipeline(scheme)
-            verdict = pipeline.detect(
-                document, entry.record, expected=entry.recipient,
-                shape=shape, strategy=strategy)
-            rank = (verdict.p_value,
-                    entry.sequence if entry.sequence is not None else 0)
-            current = best.get(entry.recipient)
-            if current is None or rank < current[0]:
-                best[entry.recipient] = (rank, verdict)
-        return TraceResult(verdicts={name: verdict
-                                     for name, (_, verdict)
-                                     in best.items()})
+        entries = registry.records(
+            scheme_fingerprint=self.scheme_fingerprint(scheme))
+        return trace_entries(
+            document, entries,
+            lambda entry: self.entry_pipeline(scheme, entry),
+            shape=shape, strategy=strategy, recipients=recipients,
+            known=registry.recipients)
 
     def detect_recorded(self, scheme: SchemeLike, document: Document,
                         recipient: str,
@@ -489,13 +514,9 @@ class WmXMLSystem:
             raise UnknownRecipientError(recipient,
                                         known=registry.recipients())
         entry = entries[-1]
-        if entry.keying == "recipient":
-            pipeline = self.recipient_pipeline(scheme, recipient)
-        else:
-            pipeline = self.pipeline(scheme)
-        return pipeline.detect(document, entry.record,
-                               expected=entry.recipient, shape=shape,
-                               strategy=strategy)
+        return self.entry_pipeline(scheme, entry).detect(
+            document, entry.record, expected=entry.recipient, shape=shape,
+            strategy=strategy)
 
     def detect(
         self,

@@ -39,6 +39,7 @@ from repro.core.watermark import (
 from repro.errors import RecordFormatError
 from repro.serialize import VersionedDocument
 from repro.perf.profiler import profiled
+from repro.rewriting.executor import LogicalExecutor
 from repro.rewriting.rewriter import compile_logical
 from repro.semantics.errors import RecordError
 from repro.semantics.shape import DocumentShape
@@ -172,6 +173,7 @@ class WmXMLDecoder:
         shape: DocumentShape,
         expected: Optional[Watermark] = None,
         indexed: bool = False,
+        index: Optional[LogicalExecutor] = None,
     ) -> DetectionResult:
         """Run the query set Q against ``document`` and tally votes.
 
@@ -183,7 +185,11 @@ class WmXMLDecoder:
         :class:`~repro.rewriting.executor.LogicalExecutor` (one shred +
         inverted indexes) instead of per-query XPath evaluation, turning
         detection from O(|Q|·|doc|) into O(|doc| + |Q|) — same votes,
-        same verdict.
+        same verdict.  ``index`` hands in that executor, already built
+        over this ``document`` and ``shape``: it depends on neither key
+        nor record, so a caller detecting many records against one
+        document shreds it once (see :func:`repro.core.fingerprint.
+        sweep`).  Passing it implies ``indexed=True``.
 
         Every stored query is first *authenticated against the key*: its
         keyed selection and bit index must re-derive from (key,
@@ -196,11 +202,8 @@ class WmXMLDecoder:
         a few entries would otherwise harvest their honestly-embedded —
         hence perfectly matching — votes.
         """
-        executor = None
-        if indexed:
-            from repro.rewriting.executor import LogicalExecutor
-
-            executor = LogicalExecutor(document, shape)
+        if index is None and indexed:
+            index = LogicalExecutor(document, shape)
         tally = VoteTally()
         queries_answered = 0
         queries_rejected = 0
@@ -212,9 +215,9 @@ class WmXMLDecoder:
             algorithm = self._algorithm(wm_query.algorithm,
                                         wm_query.param_map,
                                         wm_query.algorithm_cache_key)
-            if executor is not None:
+            if index is not None:
                 try:
-                    nodes = executor.execute(wm_query.query)
+                    nodes = index.execute(wm_query.query)
                 except RecordError:
                     nodes = []
             else:

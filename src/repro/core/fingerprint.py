@@ -23,7 +23,7 @@ Key separation keeps this cheap and safe:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from repro.core.crypto import KeyedPRF
 from repro.core.decoder import DetectionResult, WmXMLDecoder
@@ -32,6 +32,7 @@ from repro.core.record import WatermarkRecord
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
 from repro.errors import RecordFormatError
+from repro.rewriting.executor import LogicalExecutor
 from repro.semantics.shape import DocumentShape
 from repro.serialize import VersionedDocument
 from repro.xmlmodel.tree import Document
@@ -102,6 +103,55 @@ class TraceResult(VersionedDocument):
         return f"trace: {parts}"
 
 
+class TraceCandidate(NamedTuple):
+    """One issued record a trace verifies, and how to verify it.
+
+    ``decoder`` holds the key the record was issued under, ``shape`` is
+    the suspected document's organisation to detect through, and
+    ``order`` breaks p-value ties between two records of one recipient
+    (the lower order wins — the registry sequence, say).
+    """
+
+    recipient: str
+    record: WatermarkRecord
+    decoder: WmXMLDecoder
+    shape: DocumentShape
+    order: int
+
+
+def sweep(suspected: Document, candidates: Iterable[TraceCandidate],
+          indexed: bool = True) -> TraceResult:
+    """The one trace kernel: verify every candidate against a leak.
+
+    Each candidate is detected under its own key with its recipient id
+    as the expected message; each recipient keeps their strongest
+    verdict (lowest p-value, ties to the lowest ``order``).  With
+    ``indexed`` the leak is shredded and indexed once per distinct
+    shape and that index answers every candidate, so a trace costs one
+    shred plus, per candidate, key authentication and a vote tally.
+    ``indexed=False`` is the per-query XPath reference path.
+    """
+    indexes: dict = {}
+    best: dict[str, tuple[tuple, DetectionResult]] = {}
+    for candidate in candidates:
+        index = None
+        if indexed:
+            index = indexes.get(candidate.shape)
+            if index is None:
+                index = indexes[candidate.shape] = LogicalExecutor(
+                    suspected, candidate.shape)
+        verdict = candidate.decoder.detect(
+            suspected, candidate.record, candidate.shape,
+            expected=Watermark.from_message(candidate.recipient),
+            indexed=indexed, index=index)
+        rank = (verdict.p_value, candidate.order)
+        current = best.get(candidate.recipient)
+        if current is None or rank < current[0]:
+            best[candidate.recipient] = (rank, verdict)
+    return TraceResult(verdicts={name: verdict
+                                 for name, (_, verdict) in best.items()})
+
+
 class Fingerprinter:
     """Issue fingerprinted copies and trace leaks back to recipients."""
 
@@ -136,12 +186,10 @@ class Fingerprinter:
               indexed: bool = True) -> TraceResult:
         """Detect every issued fingerprint against a leaked copy."""
         target_shape = shape or self.scheme.shape
-        result = TraceResult()
-        for recipient, record in self._issued.items():
-            decoder = WmXMLDecoder(self.recipient_key(recipient),
-                                   alpha=self.alpha)
-            result.verdicts[recipient] = decoder.detect(
-                suspected, record, target_shape,
-                expected=Watermark.from_message(recipient),
-                indexed=indexed)
-        return result
+        return sweep(suspected, (
+            TraceCandidate(recipient, record,
+                           WmXMLDecoder(self.recipient_key(recipient),
+                                        alpha=self.alpha),
+                           target_shape, order)
+            for order, (recipient, record)
+            in enumerate(self._issued.items())), indexed=indexed)

@@ -57,6 +57,19 @@ class RegistryBackend(abc.ABC):
         ``None`` (the default) disables the filter entirely.
         """
 
+    def count_records(self, recipient: Optional[str] = None,
+                      scheme_fingerprint: Optional[str] = None,
+                      document_hash: Optional[str] = None,
+                      tenant: Optional[str] = None) -> int:
+        """How many records :meth:`find_records` would return.
+
+        The fallback decodes the matches to count them; the bundled
+        backends count without decoding anything.
+        """
+        return len(self.find_records(
+            recipient=recipient, scheme_fingerprint=scheme_fingerprint,
+            document_hash=document_hash, tenant=tenant))
+
     @abc.abstractmethod
     def recipients(self) -> list[str]:
         """Distinct recipient identities, sorted."""
@@ -194,6 +207,15 @@ class MemoryBackend(RegistryBackend):
             return [record for record in self._records
                     if matches(record, recipient, scheme_fingerprint,
                                document_hash, tenant)]
+
+    def count_records(self, recipient: Optional[str] = None,
+                      scheme_fingerprint: Optional[str] = None,
+                      document_hash: Optional[str] = None,
+                      tenant: Optional[str] = None) -> int:
+        with self._lock:
+            return sum(1 for record in self._records
+                       if matches(record, recipient, scheme_fingerprint,
+                                  document_hash, tenant))
 
     def recipients(self) -> list[str]:
         with self._lock:

@@ -215,12 +215,9 @@ class WatermarkRegistry:
               document_hash: Optional[str] = None,
               tenant: Optional[str] = None) -> int:
         """Total matching records, ignoring paging."""
-        if recipient is None and scheme_fingerprint is None \
-                and document_hash is None and tenant is None:
-            return self.backend.record_count()
-        return len(self.backend.find_records(
+        return self.backend.count_records(
             recipient=recipient, scheme_fingerprint=scheme_fingerprint,
-            document_hash=document_hash, tenant=tenant))
+            document_hash=document_hash, tenant=tenant)
 
     def recipients(self) -> list[str]:
         """Every distinct recipient identity, sorted."""

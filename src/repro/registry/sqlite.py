@@ -54,7 +54,8 @@ from typing import Iterator, Optional
 
 from repro.faults import fault_point
 from repro.registry.backend import RegistryBackend
-from repro.registry.errors import (RegistryError, RegistrySchemaError,
+from repro.registry.errors import (RegistryError, RegistryFormatError,
+                                   RegistrySchemaError,
                                    RegistryUnavailableError)
 from repro.registry.ledger import LedgerBlock
 from repro.registry.records import RegistryRecord
@@ -111,6 +112,9 @@ class SQLiteBackend(RegistryBackend):
                  busy_timeout_ms: int = BUSY_TIMEOUT_MS) -> None:
         self.path = path
         self._lock = threading.Lock()
+        # sequence -> (payload text, record decoded from it); see
+        # _decode_record.
+        self._decoded: dict[int, tuple[str, RegistryRecord]] = {}
         try:
             self._conn = sqlite3.connect(path, check_same_thread=False)
         except sqlite3.Error as error:
@@ -200,6 +204,46 @@ class SQLiteBackend(RegistryBackend):
 
     # -- records ------------------------------------------------------------
 
+    def _decode_record(self, sequence: int, payload: str) -> RegistryRecord:
+        """The record stored as ``payload``, decoded at most once.
+
+        A decoded record is reused only while its row still holds the
+        exact payload text it was decoded from: a row rewritten behind
+        the backend's back decodes afresh (so ``verify_chain`` sees the
+        tampering), and a quarantined row is never selected again.
+        Callers share the decoded objects, as with
+        :class:`~repro.registry.backend.MemoryBackend`.
+        """
+        cached = self._decoded.get(sequence)
+        if cached is not None and cached[0] == payload:
+            return cached[1]
+        try:
+            data = json.loads(payload)
+        except ValueError as error:
+            raise RegistryFormatError(
+                f"registry record {sequence} is not JSON: {error}"
+            ) from error
+        record = RegistryRecord.from_dict(data)
+        self._decoded[sequence] = (payload, record)
+        return record
+
+    @staticmethod
+    def _where(recipient: Optional[str],
+               scheme_fingerprint: Optional[str],
+               document_hash: Optional[str],
+               tenant: Optional[str]) -> tuple[str, list]:
+        """The indexed ``WHERE`` clause of a record filter."""
+        clauses, params = [], []
+        for column, value in (("recipient", recipient),
+                              ("scheme_fingerprint", scheme_fingerprint),
+                              ("document_hash", document_hash),
+                              ("tenant", tenant)):
+            if value is not None:
+                clauses.append(f"{column} = ?")
+                params.append(value)
+        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        return where, params
+
     def _next_sequence(self) -> int:
         row = self._conn.execute(
             "SELECT COALESCE(MAX(sequence) + 1, 0) FROM records"
@@ -264,10 +308,18 @@ class SQLiteBackend(RegistryBackend):
             return sequences
 
     def record_count(self) -> int:
+        return self.count_records()
+
+    def count_records(self, recipient: Optional[str] = None,
+                      scheme_fingerprint: Optional[str] = None,
+                      document_hash: Optional[str] = None,
+                      tenant: Optional[str] = None) -> int:
+        where, params = self._where(recipient, scheme_fingerprint,
+                                    document_hash, tenant)
         with self._lock, self._guarded("count"):
             fault_point("registry.sqlite.read")
             row = self._conn.execute(
-                "SELECT COUNT(*) FROM records").fetchone()
+                "SELECT COUNT(*) FROM records" + where, params).fetchone()
             return int(row[0])
 
     def get_record(self, sequence: int) -> Optional[RegistryRecord]:
@@ -277,28 +329,22 @@ class SQLiteBackend(RegistryBackend):
                 (sequence,)).fetchone()
         if row is None:
             return None
-        return RegistryRecord.from_dict(json.loads(row[0]))
+        return self._decode_record(sequence, row[0])
 
     def find_records(self, recipient: Optional[str] = None,
                      scheme_fingerprint: Optional[str] = None,
                      document_hash: Optional[str] = None,
                      tenant: Optional[str] = None
                      ) -> list[RegistryRecord]:
-        clauses, params = [], []
-        for column, value in (("recipient", recipient),
-                              ("scheme_fingerprint", scheme_fingerprint),
-                              ("document_hash", document_hash),
-                              ("tenant", tenant)):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        where, params = self._where(recipient, scheme_fingerprint,
+                                    document_hash, tenant)
         with self._lock, self._guarded("query"):
             fault_point("registry.sqlite.read")
             rows = self._conn.execute(
-                "SELECT payload FROM records" + where + " ORDER BY sequence",
-                params).fetchall()
-        return [RegistryRecord.from_dict(json.loads(row[0])) for row in rows]
+                "SELECT sequence, payload FROM records" + where
+                + " ORDER BY sequence", params).fetchall()
+        return [self._decode_record(sequence, payload)
+                for sequence, payload in rows]
 
     def recipients(self) -> list[str]:
         with self._lock, self._guarded("query"):

@@ -27,12 +27,10 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.api.system import WmXMLSystem
-from repro.core.decoder import DetectionResult
+from repro.api.system import WmXMLSystem, trace_entries
 from repro.core.fingerprint import TraceResult
 from repro.core.scheme import WatermarkingScheme
-from repro.registry import (RegistryNotConfiguredError,
-                            UnknownRecipientError, WatermarkRegistry)
+from repro.registry import RegistryNotConfiguredError, WatermarkRegistry
 
 from .config import TenantConfig, TenantsConfig
 from .errors import ForbiddenError, TenantConfigError, UnauthorizedError
@@ -242,6 +240,11 @@ class TenantDirectory:
         generation's fingerprint of the named scheme, and verifies
         each one under the generation that embedded it — but it never
         leaves the tenant's registry namespace.
+
+        Cost: the leak is shredded and indexed once per trace; each
+        record then costs its key authentication and a vote tally
+        against that index (``strategy="scan"`` evaluates every query
+        as XPath instead).
         """
         registry = self._require_registry()
         entries = []
@@ -256,31 +259,9 @@ class TenantDirectory:
                 scheme_fingerprint=fingerprint, tenant=tenant))
         entries.sort(key=lambda e: e.sequence
                      if e.sequence is not None else 0)
-        if recipients is not None:
-            wanted = set(recipients)
-            known = {entry.recipient for entry in entries}
-            missing = wanted - known
-            if missing:
-                raise UnknownRecipientError(
-                    sorted(missing)[0], known=sorted(known))
-            entries = [entry for entry in entries
-                       if entry.recipient in wanted]
-        best: Dict[str, Tuple[tuple, DetectionResult]] = {}
-        for entry in entries:
-            system = self.system(tenant, entry.key_id)
-            if entry.keying == "recipient":
-                pipeline = system.recipient_pipeline(scheme,
-                                                     entry.recipient)
-            else:
-                pipeline = system.pipeline(scheme)
-            verdict = pipeline.detect(
-                document, entry.record, expected=entry.recipient,
-                shape=shape, strategy=strategy)
-            rank = (verdict.p_value,
-                    entry.sequence if entry.sequence is not None else 0)
-            current = best.get(entry.recipient)
-            if current is None or rank < current[0]:
-                best[entry.recipient] = (rank, verdict)
-        return TraceResult(verdicts={name: verdict
-                                     for name, (_, verdict)
-                                     in best.items()})
+        return trace_entries(
+            document, entries,
+            lambda entry: self.system(tenant, entry.key_id)
+            .entry_pipeline(scheme, entry),
+            shape=shape, strategy=strategy, recipients=recipients,
+            known=lambda: sorted({entry.recipient for entry in entries}))

@@ -7,6 +7,7 @@ boundaries are located with ``str.find``/compiled-regex tokenisation
 explicit stack (instead of recursion), so arbitrarily deep documents
 parse without recursion-limit tuning.  Supported syntax:
 
+* one leading byte-order mark (U+FEFF), skipped (XML 1.0 §4.3.3),
 * the XML declaration (``<?xml version=... ?>``), recorded but unused,
 * ``<!DOCTYPE ...>`` declarations, skipped (including an internal subset),
 * elements with attributes in single or double quotes,
@@ -113,7 +114,9 @@ class _Scanner:
 
     def __init__(self, text: str, strip_whitespace: bool) -> None:
         self.text = text
-        self.pos = 0
+        # A leading byte-order mark is an encoding signature, not
+        # content; the XML declaration may follow it.
+        self.pos = 1 if text.startswith("\ufeff") else 0
         self.length = len(text)
         self.strip_whitespace = strip_whitespace
         # Indexes populated while the root subtree is constructed.
@@ -157,7 +160,8 @@ class _Scanner:
         while True:
             self._skip_whitespace()
             pos = self.pos
-            if text.startswith("<?xml", pos) and pos == 0:
+            if text.startswith("<?xml", pos) and (
+                    pos == 0 or (pos == 1 and text[0] == "\ufeff")):
                 self._skip_xml_declaration()
             elif text.startswith("<!--", pos):
                 nodes.append(self._parse_comment())

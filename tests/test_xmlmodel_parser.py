@@ -295,6 +295,28 @@ class TestEndOfLineNormalization:
         assert excinfo.value.line == 2
 
 
+class TestByteOrderMark:
+    """XML 1.0 §4.3.3: a leading U+FEFF is an encoding signature."""
+
+    def test_leading_bom_is_skipped(self):
+        doc = parse("\ufeff<a>1</a>")
+        assert doc.root.tag == "a"
+        assert doc.root.text == "1"
+        assert serialize(doc) == serialize(parse("<a>1</a>"))
+
+    def test_xml_declaration_may_follow_the_bom(self):
+        doc = parse('\ufeff<?xml version="1.0"?><a>1</a>')
+        assert serialize(doc) == serialize(parse("<a>1</a>"))
+
+    def test_only_one_bom_is_skipped(self):
+        with pytest.raises(XMLSyntaxError):
+            parse("\ufeff\ufeff<a/>")
+
+    def test_bom_after_the_root_is_content_after_document_end(self):
+        with pytest.raises(XMLSyntaxError):
+            parse("<a/>\ufeff")
+
+
 class TestScannerDepth:
     def test_deep_nesting_needs_no_recursion(self):
         depth = 3000
