@@ -83,7 +83,6 @@ from repro import parallel
 from repro.core.decoder import DetectionResult, WmXMLDecoder
 from repro.faults import fault_point
 from repro.core.encoder import EmbeddingResult, WmXMLEncoder
-from repro.core.fingerprint import TraceCandidate
 from repro.core.record import WatermarkRecord, all_same_record
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
@@ -376,18 +375,6 @@ class Pipeline:
             expected=None if expected is None else _as_watermark(expected),
             indexed=_resolve_strategy(strategy),
         )
-
-    def trace_candidate(self, recipient: str, record: WatermarkRecord,
-                        order: int,
-                        shape: Optional[DocumentShape] = None
-                        ) -> TraceCandidate:
-        """``record`` as a trace candidate verified under this key.
-
-        ``shape`` defaults to the scheme's, as in :meth:`detect`; see
-        :func:`repro.core.fingerprint.sweep`.
-        """
-        return TraceCandidate(recipient, record, self._decoder,
-                              shape or self.scheme.shape, order)
 
     @profiled("api.detect_many")
     def detect_many(

@@ -26,9 +26,9 @@ from repro.api.pipeline import (
     scheme_content_key,
 )
 from repro.core.crypto import KeyedPRF
-from repro.core.decoder import DetectionResult
+from repro.core.decoder import DetectionResult, WmXMLDecoder
 from repro.core.encoder import EmbeddingResult
-from repro.core.fingerprint import TraceResult, sweep
+from repro.core.fingerprint import TraceCandidate, TraceResult, sweep
 from repro.core.record import WatermarkRecord
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
@@ -37,21 +37,26 @@ from repro.registry import (RegistryNotConfiguredError, UnknownRecipientError,
                             WatermarkRegistry)
 from repro.registry.records import RegistryRecord
 from repro.semantics.shape import DocumentShape
+from repro.xmlmodel.parser import parse
 from repro.xmlmodel.tree import Document
 
 SchemeLike = Union[str, WatermarkingScheme, dict]
 
-#: Ceiling on the content-keyed pipeline cache.  Registered names are
-#: unbounded by design (the operator controls them); ad-hoc inline
-#: schemes can arrive from the wire on every request, so they evict
-#: least-recently-used beyond this many distinct deployments.
+#: Ceiling on the content-keyed and recipient pipeline caches.
+#: Registered names are unbounded by design (the operator controls
+#: them); ad-hoc inline schemes and issuance recipients can arrive from
+#: the wire on every request, so they evict least-recently-used beyond
+#: this many distinct entries.  Trace does not go through these caches:
+#: it verifies under per-key decoders filled only from persisted
+#: registry entries (:meth:`WmXMLSystem.trace_decoder`), so a sweep
+#: over more recipients than this neither thrashes nor evicts them.
 CONTENT_CACHE_MAX = 64
 
 
 def trace_entries(document: Document, entries: list[RegistryRecord],
-                  pipeline_for: Callable[[RegistryRecord], Pipeline],
+                  decoder_for: Callable[[RegistryRecord], WmXMLDecoder],
                   *,
-                  shape: Optional[DocumentShape],
+                  shape: DocumentShape,
                   strategy: str,
                   recipients: Optional[Iterable[str]],
                   known: Callable[[], list[str]]) -> TraceResult:
@@ -59,12 +64,10 @@ def trace_entries(document: Document, entries: list[RegistryRecord],
 
     The trace of both :meth:`WmXMLSystem.trace` and
     :meth:`repro.tenants.TenantDirectory.trace`.  ``entries`` come in
-    sequence order and ``pipeline_for`` names the pipeline each one
-    verifies under.  ``recipients`` restricts the sweep; naming an
-    identity no entry carries raises :class:`UnknownRecipientError`
-    hinting ``known()``.  Pipelines are looked up lazily, one entry at
-    a time, so the sweep never pins more compiled pipelines than their
-    caches hold.
+    sequence order, ``decoder_for`` names the decoder each one
+    verifies under and ``shape`` is the leak's organisation.
+    ``recipients`` restricts the sweep; naming an identity no entry
+    carries raises :class:`UnknownRecipientError` hinting ``known()``.
     """
     if recipients is not None:
         wanted = set(recipients)
@@ -74,9 +77,9 @@ def trace_entries(document: Document, entries: list[RegistryRecord],
         entries = [entry for entry in entries if entry.recipient in wanted]
     indexed = _resolve_strategy(strategy)
     return sweep(document, (
-        pipeline_for(entry).trace_candidate(
-            entry.recipient, entry.record,
-            entry.sequence if entry.sequence is not None else 0, shape)
+        TraceCandidate(entry.recipient, entry.record, decoder_for(entry),
+                       shape,
+                       entry.sequence if entry.sequence is not None else 0)
         for entry in entries), indexed=indexed)
 
 
@@ -120,6 +123,11 @@ class WmXMLSystem:
         # (scheme content, recipient, alpha); LRU like the content cache.
         self._recipient_pipelines: dict[tuple[str, str, float],
                                         Pipeline] = {}
+        # Trace decoders, keyed by (recipient, alpha); None stands for
+        # the system key.  Filled only from persisted registry entries,
+        # so the registry bounds them and wire traffic cannot grow them.
+        self._trace_decoders: dict[tuple[Optional[str], float],
+                                   WmXMLDecoder] = {}
         self._name_fingerprints: dict[str, str] = {}
         self._lock = threading.Lock()
 
@@ -311,10 +319,17 @@ class WmXMLSystem:
 
     def recipient_pipeline(self, scheme: SchemeLike, recipient: str,
                            alpha: Optional[float] = None) -> Pipeline:
-        """The compiled pipeline under ``recipient``'s derived key."""
+        """The compiled pipeline under ``recipient``'s derived key.
+
+        A registered name keys the LRU on its cached fingerprint, so a
+        lookup serialises nothing and a re-registered name misses.
+        """
         effective_alpha = self.alpha if alpha is None else alpha
-        resolved = self._resolve(scheme)
-        content = scheme_content_key(resolved)
+        if isinstance(scheme, str):
+            resolved, content = self.scheme_with_fingerprint(scheme)
+        else:
+            resolved = self._resolve(scheme)
+            content = scheme_content_key(resolved)
         key = (content, recipient, effective_alpha)
         with self._lock:
             pipeline = self._recipient_pipelines.pop(key, None)
@@ -332,6 +347,27 @@ class WmXMLSystem:
                 self._recipient_pipelines.pop(
                     next(iter(self._recipient_pipelines)))
         return pipeline
+
+    def trace_decoder(self, entry: RegistryRecord) -> WmXMLDecoder:
+        """The decoder that verifies a persisted record in a trace.
+
+        One per key and alpha, kept for the life of the system so its
+        authentication digests stay warm across records and traces:
+        the derived key for a fingerprinted copy, the system key
+        otherwise.  Only persisted entries reach here, so the cache
+        holds at most one decoder per recipient in the registry.
+        """
+        recipient = entry.recipient if entry.keying == "recipient" else None
+        key = (recipient, self.alpha)
+        with self._lock:
+            decoder = self._trace_decoders.get(key)
+        if decoder is None:
+            decoder = WmXMLDecoder(
+                self._secret_key if recipient is None
+                else self.recipient_key(recipient), alpha=self.alpha)
+            with self._lock:
+                decoder = self._trace_decoders.setdefault(key, decoder)
+        return decoder
 
     # -- registry ------------------------------------------------------------
 
@@ -386,7 +422,7 @@ class WmXMLSystem:
 
     # -- conveniences ------------------------------------------------------------
 
-    def embed(self, scheme: SchemeLike, document: Document,
+    def embed(self, scheme: SchemeLike, document: DocumentLike,
               message: MessageLike, in_place: bool = False,
               recipient: Optional[str] = None) -> EmbeddingResult:
         """Embed; with ``recipient`` set, issue a fingerprinted copy.
@@ -395,7 +431,13 @@ class WmXMLSystem:
         key; a recipient switches to that recipient's derived key and
         uses the recipient id as the message (self-describing
         evidence).  Either way, an attached registry records the copy.
+        ``document`` may be raw XML, parsed as :meth:`embed_many` does.
         """
+        if isinstance(document, str):
+            # The tree is freshly parsed here and nobody else holds it,
+            # so it is marked in place rather than copied.
+            document = parse(document, strip_whitespace=True)
+            in_place = True
         if recipient is not None:
             pipeline = self.recipient_pipeline(scheme, recipient)
             result = pipeline.embed(document, recipient, in_place=in_place)
@@ -449,7 +491,7 @@ class WmXMLSystem:
                 for result in results])
         return results
 
-    def issue(self, scheme: SchemeLike, document: Document,
+    def issue(self, scheme: SchemeLike, document: DocumentLike,
               recipient: str, in_place: bool = False) -> EmbeddingResult:
         """Issue one fingerprinted copy to ``recipient`` (and record it)."""
         return self.embed(scheme, document, recipient, in_place=in_place,
@@ -486,19 +528,20 @@ class WmXMLSystem:
         p-value; ties keep the earlier record).  ``recipients``
         restricts the sweep and must name known identities.
 
-        Cost: the leak is shredded and indexed once per trace; each
-        record then costs its key authentication and a vote tally
-        against that index (``strategy="scan"`` evaluates every query
-        as XPath instead).
+        Cost: the leak is shredded and indexed once per trace.  Each
+        record then verifies under its key's warm decoder
+        (:meth:`trace_decoder`, one per recipient in the registry, so
+        no pipeline is compiled): a memoised key authentication and a
+        vote tally against that index (``strategy="scan"`` evaluates
+        every query as XPath instead).
         """
         registry = self._require_registry()
         entries = registry.records(
             scheme_fingerprint=self.scheme_fingerprint(scheme))
         return trace_entries(
-            document, entries,
-            lambda entry: self.entry_pipeline(scheme, entry),
-            shape=shape, strategy=strategy, recipients=recipients,
-            known=registry.recipients)
+            document, entries, self.trace_decoder,
+            shape=shape or self._resolve(scheme).shape, strategy=strategy,
+            recipients=recipients, known=registry.recipients)
 
     def detect_recorded(self, scheme: SchemeLike, document: Document,
                         recipient: str,

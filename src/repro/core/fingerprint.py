@@ -129,9 +129,12 @@ def sweep(suspected: Document, candidates: Iterable[TraceCandidate],
     ``indexed`` the leak is shredded and indexed once per distinct
     shape and that index answers every candidate, so a trace costs one
     shred plus, per candidate, key authentication and a vote tally.
+    Authentication is cheap when callers hand in one long-lived decoder
+    per key: its digest memo stays warm across records and traces.
     ``indexed=False`` is the per-query XPath reference path.
     """
     indexes: dict = {}
+    expected: dict[str, Watermark] = {}
     best: dict[str, tuple[tuple, DetectionResult]] = {}
     for candidate in candidates:
         index = None
@@ -140,10 +143,13 @@ def sweep(suspected: Document, candidates: Iterable[TraceCandidate],
             if index is None:
                 index = indexes[candidate.shape] = LogicalExecutor(
                     suspected, candidate.shape)
+        message = expected.get(candidate.recipient)
+        if message is None:
+            message = expected[candidate.recipient] = \
+                Watermark.from_message(candidate.recipient)
         verdict = candidate.decoder.detect(
             suspected, candidate.record, candidate.shape,
-            expected=Watermark.from_message(candidate.recipient),
-            indexed=indexed, index=index)
+            expected=message, indexed=indexed, index=index)
         rank = (verdict.p_value, candidate.order)
         current = best.get(candidate.recipient)
         if current is None or rank < current[0]:
@@ -162,6 +168,9 @@ class Fingerprinter:
         self._master = KeyedPRF(master_key)
         self.alpha = alpha
         self._issued: dict[str, WatermarkRecord] = {}
+        # One decoder per (recipient, alpha), kept across traces so
+        # each key's authentication digests are derived once.
+        self._decoders: dict[tuple[str, float], WmXMLDecoder] = {}
 
     def recipient_key(self, recipient: str) -> bytes:
         """The derived secret key for one recipient."""
@@ -181,15 +190,21 @@ class Fingerprinter:
     def issued_recipients(self) -> list[str]:
         return sorted(self._issued)
 
+    def _decoder(self, recipient: str) -> WmXMLDecoder:
+        key = (recipient, self.alpha)
+        decoder = self._decoders.get(key)
+        if decoder is None:
+            decoder = self._decoders[key] = WmXMLDecoder(
+                self.recipient_key(recipient), alpha=self.alpha)
+        return decoder
+
     def trace(self, suspected: Document,
               shape: Optional[DocumentShape] = None,
               indexed: bool = True) -> TraceResult:
         """Detect every issued fingerprint against a leaked copy."""
         target_shape = shape or self.scheme.shape
         return sweep(suspected, (
-            TraceCandidate(recipient, record,
-                           WmXMLDecoder(self.recipient_key(recipient),
-                                        alpha=self.alpha),
+            TraceCandidate(recipient, record, self._decoder(recipient),
                            target_shape, order)
             for order, (recipient, record)
             in enumerate(self._issued.items())), indexed=indexed)

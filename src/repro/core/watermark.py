@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from scipy import stats
@@ -124,8 +125,16 @@ class VoteTally:
         return 1 if ones > zeros else 0
 
     def reconstruct(self, nbits: int) -> list[Optional[int]]:
-        """Blind per-index majority reconstruction."""
-        return [self.majority(index) for index in range(nbits)]
+        """Blind per-index majority reconstruction.
+
+        Visits only the indices that got votes: every other position is
+        ``None`` already, which is what :meth:`majority` says for it.
+        """
+        bits: list[Optional[int]] = [None] * nbits
+        for index in self.indices():
+            if 0 <= index < nbits:
+                bits[index] = self.majority(index)
+        return bits
 
     def matching_votes(self, expected: Watermark) -> tuple[int, int]:
         """(votes agreeing with ``expected``, total votes)."""
@@ -153,6 +162,15 @@ def binomial_pvalue(matches: int, total: int) -> float:
         return 1.0
     if matches < 0 or matches > total:
         raise ValueError("matches must lie in [0, total]")
+    return _binomial_sf(matches, total)
+
+
+@lru_cache(maxsize=4096)
+def _binomial_sf(matches: int, total: int) -> float:
+    # A pure function of two ints, so the memo is bit-identical to a
+    # fresh scipy call; a trace repeats the same few (matches, total)
+    # pairs across hundreds of records.  Bounded, since detect inputs
+    # arrive from the wire.
     return float(stats.binom.sf(matches - 1, total, 0.5))
 
 

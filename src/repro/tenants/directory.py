@@ -241,10 +241,12 @@ class TenantDirectory:
         each one under the generation that embedded it — but it never
         leaves the tenant's registry namespace.
 
-        Cost: the leak is shredded and indexed once per trace; each
-        record then costs its key authentication and a vote tally
-        against that index (``strategy="scan"`` evaluates every query
-        as XPath instead).
+        Cost: the leak is shredded and indexed once per trace.  Each
+        record then verifies under its generation's warm decoder for
+        its key (:meth:`WmXMLSystem.trace_decoder`, bounded by the
+        registry's recipients, no pipeline compile): a memoised key
+        authentication and a vote tally against that index
+        (``strategy="scan"`` evaluates every query as XPath instead).
         """
         registry = self._require_registry()
         entries = []
@@ -262,6 +264,7 @@ class TenantDirectory:
         return trace_entries(
             document, entries,
             lambda entry: self.system(tenant, entry.key_id)
-            .entry_pipeline(scheme, entry),
-            shape=shape, strategy=strategy, recipients=recipients,
+            .trace_decoder(entry),
+            shape=shape or self.system(tenant).scheme(scheme).shape,
+            strategy=strategy, recipients=recipients,
             known=lambda: sorted({entry.recipient for entry in entries}))

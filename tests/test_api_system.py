@@ -218,6 +218,46 @@ class TestWmXMLSystem:
         assert new is not old
         assert new.scheme.gamma == 4
 
+    def test_recipient_pipeline_keys_names_without_serialising(
+            self, monkeypatch):
+        # A registered name keys the recipient LRU on its cached
+        # fingerprint: no scheme JSON per issuance, and a re-registered
+        # name misses instead of serving the replaced deployment.
+        import repro.api.system as system_module
+
+        system = api.WmXMLSystem("secret")
+        system.register("bib", bibliography.default_scheme(2))
+        old = system.recipient_pipeline("bib", "alice")
+        assert system.recipient_pipeline("bib", "alice") is old
+
+        def refuse(scheme):
+            raise AssertionError("a named lookup serialised the scheme")
+
+        monkeypatch.setattr(system_module, "scheme_content_key", refuse)
+        assert system.recipient_pipeline("bib", "alice") is old
+        assert system.recipient_pipeline("bib", "bob").scheme.gamma == 2
+        monkeypatch.undo()
+        system.register("bib", bibliography.default_scheme(4))
+        new = system.recipient_pipeline("bib", "alice")
+        assert new is not old
+        assert new.scheme.gamma == 4
+        assert system.recipient_pipeline("bib", "alice") is new
+
+    @pytest.mark.parametrize("recipient", [None, "alice"])
+    def test_embed_accepts_raw_xml_like_embed_many(self, recipient):
+        system = api.WmXMLSystem("secret")
+        system.register("bib", bibliography.default_scheme(2))
+        text = serialize(_small_bibliography(seed=3))
+        batch = system.embed_many("bib", [text], "(c) me", output="xml",
+                                  recipient=recipient)[0]
+        result = system.embed("bib", text, "(c) me", recipient=recipient)
+        assert serialize(result.document) == batch.xml
+        assert result.record.to_dict() == batch.record.to_dict()
+        if recipient is not None:
+            issued = system.issue("bib", text, recipient)
+            assert serialize(issued.document) == batch.xml
+            assert issued.record.to_dict() == batch.record.to_dict()
+
     def test_key_never_exposed_in_repr(self):
         system = api.WmXMLSystem("super-secret-key")
         assert "super-secret-key" not in repr(system)

@@ -14,20 +14,35 @@ detects every issued record against that index.  These tests lock:
   per distinct shape, and none on the scan path;
 * **the decoded-record memo** of :class:`SQLiteBackend` never serves a
   row that was rewritten, quarantined or unparsable;
-* **filtered counts** answer without decoding any record.
+* **filtered counts** answer without decoding any record;
+* **warm keys** — a trace verifies under one long-lived decoder per
+  recipient key, filled only from registry entries: it compiles no
+  pipeline, leaves the issuance LRU untouched, stays byte-identical
+  above ``CONTENT_CACHE_MAX`` recipients, and wire issuance cannot
+  grow it;
+* **the per-record cuts** — sparse ``VoteTally.reconstruct`` and the
+  memoised ``binomial_pvalue`` equal their references exactly.
 """
 
 import json
 import sqlite3
+import sys
+import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.api import CollusionAttack, WmXMLSystem
+from repro.api.pipeline import Pipeline
+from repro.api.system import CONTENT_CACHE_MAX
 from repro.attacks import ReorganizationAttack, ValueAlterationAttack
 from repro.core import Fingerprinter
 from repro.core.crypto import KeyedPRF
 from repro.core.decoder import WmXMLDecoder
 from repro.core.fingerprint import TraceCandidate, TraceResult, sweep
+from repro.core.watermark import VoteTally, binomial_pvalue
 from repro.datasets import bibliography
 from repro.datasets.bibliography import BibliographyConfig
 from repro.registry import (
@@ -41,6 +56,7 @@ from repro.registry.backend import RegistryBackend
 from repro.registry.records import RegistryRecord
 from repro.registry.sqlite import SQLiteBackend
 from repro.rewriting.executor import LogicalExecutor
+from repro.service import REQUEST_FORMAT, WmXMLService
 from repro.tenants import TenantDirectory, TenantsConfig
 from repro.xmlmodel import parse, serialize
 
@@ -459,3 +475,253 @@ def test_fallback_count_for_backends_without_one():
     system.issue("books", parse(_text(15, 91)), "alice")
     assert registry.count(recipient="alice") == 1
     assert registry.count(recipient="bob") == 0
+
+
+# ---------------------------------------------------------------------------
+# Warm keys: registry-bounded trace decoders
+# ---------------------------------------------------------------------------
+
+#: 60 recipients issued under key generation 1, 50 under generation 2
+#: (10 of them under both): 100 recipients, above the issuance LRU.
+WIDE_FIRST = [f"r-{index:03d}" for index in range(60)]
+WIDE_SECOND = [f"r-{index:03d}" for index in range(50, 100)]
+
+
+def _tenant_reference(directory, document, **options):
+    fingerprints = directory.scheme_fingerprints("acme", "books")
+    entries = [entry for entry in directory.registry.records(
+        tenant="acme") if entry.scheme_fingerprint in fingerprints]
+
+    def pipeline_for(entry):
+        system = directory.system("acme", entry.key_id)
+        if entry.keying == "recipient":
+            return system.recipient_pipeline("books", entry.recipient)
+        return system.pipeline("books")
+
+    return _reference_trace(entries, pipeline_for, document, **options)
+
+
+def _fresh_directory(backend):
+    directory = TenantDirectory(TenantsConfig.from_dict(ROTATED),
+                                registry=WatermarkRegistry(backend))
+    directory.register_all("books", bibliography.default_scheme(2))
+    return directory
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A rotated-key tenant over 100 recipients, and their copies."""
+    assert len(set(WIDE_FIRST) | set(WIDE_SECOND)) > CONTENT_CACHE_MAX
+    backend = MemoryBackend()
+    text = _text(15, 111)
+    copies = {}
+    for config, names in ((TENANTS, WIDE_FIRST), (ROTATED, WIDE_SECOND)):
+        directory = TenantDirectory(TenantsConfig.from_dict(config),
+                                    registry=WatermarkRegistry(backend))
+        directory.register_all("books", bibliography.default_scheme(2))
+        for name in names:
+            copies[name] = directory.system("acme").issue(
+                "books", parse(text), name).document
+    return backend, copies
+
+
+def _wide_leaks(copies):
+    colluders = [copies["r-020"], copies["r-055"], copies["r-090"]]
+    return {
+        "verbatim-first": copies["r-010"],
+        "verbatim-second": copies["r-070"],
+        "altered": ValueAlterationAttack(0.15, seed=5).apply(
+            copies["r-055"]).document,
+        "colluded-majority": CollusionAttack(
+            colluders, strategy="majority", seed=8).apply(
+                colluders[0]).document,
+        "colluded-random": CollusionAttack(
+            colluders, strategy="random", seed=9).apply(
+                colluders[0]).document,
+    }
+
+
+class _Constructions:
+    """Secret keys of every decoder built, and every pipeline compiled."""
+
+    def __init__(self, monkeypatch):
+        self.decoder_keys = Counter()
+        self.pipelines = 0
+        decoder_init = WmXMLDecoder.__init__
+        pipeline_init = Pipeline.__init__
+
+        def counting_decoder(decoder, secret_key, *args, **kwargs):
+            self.decoder_keys[secret_key] += 1
+            decoder_init(decoder, secret_key, *args, **kwargs)
+
+        def counting_pipeline(pipeline, *args, **kwargs):
+            self.pipelines += 1
+            pipeline_init(pipeline, *args, **kwargs)
+
+        monkeypatch.setattr(WmXMLDecoder, "__init__", counting_decoder)
+        monkeypatch.setattr(Pipeline, "__init__", counting_pipeline)
+
+
+class TestWarmKeys:
+    @pytest.mark.parametrize("leak", ["verbatim-first", "verbatim-second",
+                                      "altered", "colluded-majority",
+                                      "colluded-random"])
+    def test_wide_rotated_corpus_matches_per_record_loop(self, wide, leak):
+        backend, copies = wide
+        directory = _fresh_directory(backend)
+        document = _wide_leaks(copies)[leak]
+        trace = directory.trace("acme", "books", document)
+        assert set(trace.verdicts) == set(WIDE_FIRST) | set(WIDE_SECOND)
+        assert _dump(trace) == _dump(_tenant_reference(directory, document))
+        # A second trace runs on warm decoders and must not drift.
+        assert _dump(directory.trace("acme", "books", document)) \
+            == _dump(trace)
+
+    def test_wide_trace_accuses_true_recipients(self, wide):
+        backend, copies = wide
+        directory = _fresh_directory(backend)
+        leaks = _wide_leaks(copies)
+        for leak, expected in (("verbatim-first", "r-010"),
+                               ("verbatim-second", "r-070"),
+                               ("altered", "r-055")):
+            assert directory.trace("acme", "books",
+                                   leaks[leak]).prime_suspect == expected
+        assert directory.trace(
+            "acme", "books", leaks["colluded-majority"]).prime_suspect \
+            in ("r-020", "r-055", "r-090")
+
+    def test_each_tenant_key_is_built_once(self, wide, monkeypatch):
+        backend, copies = wide
+        directory = _fresh_directory(backend)
+        expected = {directory.system("acme", 1).recipient_key(name)
+                    for name in WIDE_FIRST}
+        expected |= {directory.system("acme", 2).recipient_key(name)
+                     for name in WIDE_SECOND}
+        built = _Constructions(monkeypatch)
+        for _ in range(3):
+            directory.trace("acme", "books", copies["r-070"])
+        assert set(built.decoder_keys) == expected
+        assert set(built.decoder_keys.values()) == {1}
+        assert built.pipelines == 0
+
+    def test_each_system_key_is_built_once(self, corpus, monkeypatch):
+        system, copies = corpus
+        fresh = WmXMLSystem(KEY, registry=system.registry,
+                            seal_registry=False)
+        fresh.register("books", bibliography.default_scheme(2))
+        built = _Constructions(monkeypatch)
+        for _ in range(3):
+            fresh.trace("books", copies["carol"])
+        assert set(built.decoder_keys) == {
+            fresh.recipient_key(name) for name in RECIPIENTS} | {KEY}
+        assert set(built.decoder_keys.values()) == {1}
+        assert built.pipelines == 0
+
+    def test_fingerprinter_keeps_one_decoder_per_recipient(
+            self, monkeypatch):
+        tracer = Fingerprinter(bibliography.default_scheme(2), "master")
+        document = parse(_text(15, 121))
+        copies = {name: tracer.issue(document, name).document
+                  for name in ("alice", "bob")}
+        built = _Constructions(monkeypatch)
+        for _ in range(3):
+            assert tracer.trace(copies["bob"]).prime_suspect == "bob"
+        assert sorted(built.decoder_keys.values()) == [1, 1]
+
+    def test_trace_leaves_the_issuance_lru_untouched(self, corpus, wide):
+        system, copies = corpus
+        before = list(system._recipient_pipelines.items())
+        assert before
+        system.trace("books", copies["dave"])
+        assert list(system._recipient_pipelines.items()) == before
+
+        backend, wide_copies = wide
+        directory = _fresh_directory(backend)
+        active = directory.system("acme")
+        for name in WIDE_SECOND[:5]:
+            active.recipient_pipeline("books", name)
+        before = list(active._recipient_pipelines.items())
+        directory.trace("acme", "books", wide_copies["r-070"])
+        assert list(active._recipient_pipelines.items()) == before
+
+    def test_concurrent_traces_share_one_decoder_per_key(self, corpus):
+        system, copies = corpus
+        fresh = WmXMLSystem(KEY, registry=system.registry,
+                            seal_registry=False)
+        fresh.register("books", bibliography.default_scheme(2))
+        expected = _dump(system.trace("books", copies["carol"]))
+        results, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(2):
+                    results.append(_dump(fresh.trace("books",
+                                                     copies["carol"])))
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * 12
+        decoders = dict(fresh._trace_decoders)
+        assert len(decoders) == len(RECIPIENTS) + 1
+        fresh.trace("books", copies["carol"])
+        assert fresh._trace_decoders == decoders
+
+    def test_wire_issuance_cannot_grow_the_caches(self):
+        system = WmXMLSystem(KEY)
+        system.register("books", bibliography.default_scheme(2))
+        service = WmXMLService(system)
+        text = _text(15, 131)
+        for index in range(200):
+            status, _, _ = service.dispatch(
+                "POST", "/v1/embed", json.dumps({
+                    "format": REQUEST_FORMAT, "scheme": "books",
+                    "document": text,
+                    "recipient": f"wire-{index:03d}"}).encode())
+            assert status == 200
+        assert len(system._recipient_pipelines) <= CONTENT_CACHE_MAX
+        assert system._trace_decoders == {}
+
+
+# ---------------------------------------------------------------------------
+# The per-record cuts: sparse reconstruct and the memoised p-value
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(votes=st.lists(st.tuples(st.integers(-4, 40), st.integers(0, 1)),
+                      max_size=120),
+       nbits=st.integers(0, 36))
+def test_reconstruct_equals_per_index_majority(votes, nbits):
+    tally = VoteTally()
+    for index, bit in votes:
+        tally.add(index, bit)
+    assert tally.reconstruct(nbits) == [tally.majority(index)
+                                        for index in range(nbits)]
+
+
+def test_memoised_pvalue_is_bit_identical_on_a_grid():
+    for _ in range(2):  # the second pass answers from the memo
+        for total in range(0, 130):
+            for matches in range(0, total + 1):
+                expected = (1.0 if total == 0 else
+                            float(stats.binom.sf(matches - 1, total, 0.5)))
+                assert binomial_pvalue(matches, total) == expected
+
+
+@given(total=st.integers(1, 500), excess=st.integers(1, 50),
+       below=st.booleans())
+def test_memoised_pvalue_still_refuses_out_of_range(total, excess, below):
+    matches = -excess if below else total + excess
+    with pytest.raises(ValueError):
+        binomial_pvalue(matches, total)
