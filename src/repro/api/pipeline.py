@@ -68,6 +68,28 @@ task inside a process-pool worker:
 amortise chunk dispatch — as a rule of thumb, ``batch size x
 per-document cost >= ~20 ms`` on an otherwise idle machine; below
 that, or on a single-core host, leave it unset.
+
+Tree ownership and memory
+-------------------------
+
+A parsed tree is a reference cycle (``parent`` links up, ``children``
+and the tag indexes down), so a dropped tree waits for a full cyclic
+collection, which also rescans the whole long-lived heap.  The kernels
+therefore :meth:`~repro.xmlmodel.tree.Document.release` every tree
+they create and do not hand back, and it frees by refcount:
+
+* trees parsed from raw XML for detection (``detect``,
+  ``detect_many``, the worker's detect chunk);
+* with ``output="xml"``, the marked tree once it is serialised: the
+  serial path's private copy, and the worker's own tree;
+* in serial ``embed_many``, the tree parsed from raw XML whenever the
+  result carries a copy instead.
+
+A caller's ``Document`` is never released, and neither is an
+``output="document"`` result or ``parse_many`` output: those trees
+belong to the caller.  When a worker chunk falls back to running in
+this process, caller documents are copied first, as the pickle trip to
+a worker would have copied them.
 """
 
 from __future__ import annotations
@@ -229,9 +251,21 @@ def _embed_chunk(task: tuple) -> list[EmbeddingResult]:
         if output == "xml":
             result = EmbeddingResult(
                 document=None, record=result.record, stats=result.stats,
-                xml=serialize(result.document))
+                xml=serialize(document))
+            document.release()
         results.append(result)
     return results
+
+
+def _embed_chunk_copying(task: tuple) -> list[EmbeddingResult]:
+    """:func:`_embed_chunk` run in the caller's process (the pool's
+    serial ladder): caller documents are copied first, as the pickle
+    trip to a worker would have, so the kernel marks and releases only
+    trees it owns."""
+    fingerprint, payload, items, watermark, output = task
+    items = [item.copy() if isinstance(item, Document) else item
+             for item in items]
+    return _embed_chunk((fingerprint, payload, items, watermark, output))
 
 
 def _detect_chunk(task: tuple) -> list[DetectionResult]:
@@ -252,11 +286,13 @@ def _detect_chunk(task: tuple) -> list[DetectionResult]:
     record_for = (itertools.repeat(payload_records) if mode == "shared"
                   else payload_records)
     results = []
-    for document, record in zip(documents, record_for):
-        if isinstance(document, str):
-            document = parse(document, strip_whitespace=True)
+    for item, record in zip(documents, record_for):
+        document = (parse(item, strip_whitespace=True)
+                    if isinstance(item, str) else item)
         results.append(decoder.detect(document, record, shape,
                                       expected=expected, indexed=indexed))
+        if document is not item:
+            document.release()
     return results
 
 
@@ -297,9 +333,17 @@ class Pipeline:
 
     # -- embedding ------------------------------------------------------------
 
-    def embed(self, document: Document, message: MessageLike,
+    def embed(self, document: DocumentLike, message: MessageLike,
               in_place: bool = False) -> EmbeddingResult:
-        """Embed a message (text or :class:`Watermark`) into a document."""
+        """Embed a message (text or :class:`Watermark`) into a document.
+
+        ``document`` may be raw XML, parsed as :meth:`embed_many` does;
+        that tree is the caller's alone, so it is marked in place and
+        returned.
+        """
+        if isinstance(document, str):
+            document = parse(document, strip_whitespace=True)
+            in_place = True
         return self._encoder.embed(document, _as_watermark(message),
                                    in_place=in_place)
 
@@ -340,23 +384,28 @@ class Pipeline:
                                           output)
             except (RecursionError, parallel.BrokenProcessPool):
                 pass  # fall back to the serial path below
-        results = [self._encoder.embed(document, watermark,
-                                       in_place=in_place)
-                   for document in _as_documents(batch, processes)]
-        if output == "xml":
-            results = [
-                EmbeddingResult(document=None, record=result.record,
-                                stats=result.stats,
-                                xml=serialize(result.document))
-                for result in results
-            ]
+        results = []
+        for item, document in zip(batch, _as_documents(batch, processes)):
+            result = self._encoder.embed(document, watermark,
+                                         in_place=in_place)
+            marked = result.document
+            if output == "xml":
+                result = EmbeddingResult(document=None,
+                                         record=result.record,
+                                         stats=result.stats,
+                                         xml=serialize(marked))
+                if marked is not item:
+                    marked.release()
+            if isinstance(item, str) and document is not marked:
+                document.release()
+            results.append(result)
         return results
 
     # -- detection ------------------------------------------------------------
 
     def detect(
         self,
-        document: Document,
+        document: DocumentLike,
         record: WatermarkRecord,
         *,
         expected: Optional[MessageLike] = None,
@@ -368,13 +417,19 @@ class Pipeline:
         ``shape`` names the document's *current* organisation; passing a
         different shape than the scheme's rewrites every stored query
         for it (Figure 2).  ``strategy`` picks the query engine — see
-        the module docstring.
+        the module docstring.  ``document`` may be raw XML, parsed as
+        :meth:`detect_many` does.
         """
-        return self._decoder.detect(
-            document, record, shape or self.scheme.shape,
+        parsed = (parse(document, strip_whitespace=True)
+                  if isinstance(document, str) else document)
+        result = self._decoder.detect(
+            parsed, record, shape or self.scheme.shape,
             expected=None if expected is None else _as_watermark(expected),
             indexed=_resolve_strategy(strategy),
         )
+        if parsed is not document:
+            parsed.release()
+        return result
 
     @profiled("api.detect_many")
     def detect_many(
@@ -409,12 +464,14 @@ class Pipeline:
                 pass  # fall back to the serial path below
         documents = _as_documents([document for document, _ in batch],
                                   processes)
-        return [
-            self._decoder.detect(
+        results = []
+        for document, (item, record) in zip(documents, batch):
+            results.append(self._decoder.detect(
                 document, record, shape or self.scheme.shape,
-                expected=expected_wm, indexed=indexed)
-            for document, (_, record) in zip(documents, batch)
-        ]
+                expected=expected_wm, indexed=indexed))
+            if document is not item:
+                document.release()
+        return results
 
     # -- parallel dispatch ------------------------------------------------------------
 
@@ -448,7 +505,8 @@ class Pipeline:
         # map_recovering localises failure to the chunk: a dead worker
         # costs one retry on a fresh pool, then a serial run of that
         # chunk alone — never the whole batch.
-        chunks = parallel.map_recovering(processes, _embed_chunk, tasks)
+        chunks = parallel.map_recovering(processes, _embed_chunk, tasks,
+                                         serial=_embed_chunk_copying)
         return [result for chunk in chunks for result in chunk]
 
     def _detect_pooled(self, batch: list, expected: Optional[Watermark],

@@ -37,7 +37,6 @@ from repro.registry import (RegistryNotConfiguredError, UnknownRecipientError,
                             WatermarkRegistry)
 from repro.registry.records import RegistryRecord
 from repro.semantics.shape import DocumentShape
-from repro.xmlmodel.parser import parse
 from repro.xmlmodel.tree import Document
 
 SchemeLike = Union[str, WatermarkingScheme, dict]
@@ -388,7 +387,7 @@ class WmXMLSystem:
             return "bits:" + "".join(str(bit) for bit in message.bits)
         return message
 
-    def _stamp(self, record: WatermarkRecord) -> None:
+    def stamp(self, record: WatermarkRecord) -> None:
         """Mark a fresh record with this system's tenancy identity.
 
         Single-key systems (``tenant``/``key_id`` both ``None``) leave
@@ -433,22 +432,17 @@ class WmXMLSystem:
         evidence).  Either way, an attached registry records the copy.
         ``document`` may be raw XML, parsed as :meth:`embed_many` does.
         """
-        if isinstance(document, str):
-            # The tree is freshly parsed here and nobody else holds it,
-            # so it is marked in place rather than copied.
-            document = parse(document, strip_whitespace=True)
-            in_place = True
         if recipient is not None:
             pipeline = self.recipient_pipeline(scheme, recipient)
             result = pipeline.embed(document, recipient, in_place=in_place)
-            self._stamp(result.record)
+            self.stamp(result.record)
             self._record_embed(recipient, "recipient",
                                self.scheme_fingerprint(scheme),
                                pipeline, result)
             return result
         pipeline = self.pipeline(scheme)
         result = pipeline.embed(document, message, in_place=in_place)
-        self._stamp(result.record)
+        self.stamp(result.record)
         self._record_embed(self._message_identity(message), "system",
                            self.scheme_fingerprint(scheme), pipeline,
                            result)
@@ -473,7 +467,7 @@ class WmXMLSystem:
                                       processes=processes,
                                       output=output)
         for result in results:
-            self._stamp(result.record)
+            self.stamp(result.record)
         if self.registry is not None and results:
             # One batched append: a single SQLite transaction (one
             # fsync for the whole batch instead of one per record),
@@ -564,7 +558,7 @@ class WmXMLSystem:
     def detect(
         self,
         scheme: SchemeLike,
-        document: Document,
+        document: DocumentLike,
         record: WatermarkRecord,
         *,
         expected: Optional[MessageLike] = None,

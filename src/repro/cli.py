@@ -27,6 +27,7 @@ of its own.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import signal
@@ -701,6 +702,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import running_server
 
     service = build_service(args)
+    # Everything built so far (modules, scipy, compiled pipelines, the
+    # registry) lives as long as the daemon.  Freezing it keeps every
+    # later full collection from rescanning that heap; what requests
+    # allocate is still collected as usual.
+    gc.collect()
+    gc.freeze()
     # The daemon serves on a worker thread (running_server) so the
     # main thread can wait on a signal: ``server.shutdown()`` blocks
     # until the serve loop exits and would deadlock if called from the

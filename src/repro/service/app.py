@@ -465,9 +465,8 @@ class WmXMLService:
         if self._registry_source() is not None:
             recorded = not self._degraded or self._registry_recovered()
         if recorded is False:
-            results = pipeline.embed_many(documents, message,
-                                          processes=processes,
-                                          output="xml")
+            results = _embed_unrecorded(system, pipeline, documents,
+                                        message, processes)
         else:
             try:
                 results = system.embed_many(
@@ -479,9 +478,8 @@ class WmXMLService:
                 # is deterministic, so the re-run is bit-identical.)
                 self._degraded = True
                 recorded = False
-                results = pipeline.embed_many(documents, message,
-                                              processes=processes,
-                                              output="xml")
+                results = _embed_unrecorded(system, pipeline, documents,
+                                            message, processes)
         if batch:
             payload = {"results": [_embed_payload(item)
                                    for item in results]}
@@ -662,9 +660,7 @@ class WmXMLService:
                ) -> tuple[int, dict, dict]:
         self._registry()
         scheme = self._scheme_argument(request)
-        document = parse(
-            protocol.required_field(request, "document", str),
-            strip_whitespace=True)
+        text = protocol.required_field(request, "document", str)
         recipients = request.get("recipients")
         if recipients is not None and (
                 not isinstance(recipients, list)
@@ -676,17 +672,22 @@ class WmXMLService:
             raise MalformedRequestError(
                 f"unknown detection strategy {strategy!r}; choices: "
                 f"{DETECTION_STRATEGIES}")
-        if auth is not None:
-            # The directory's trace never leaves the tenant's registry
-            # namespace and sweeps every key generation of the scheme.
-            trace = self.tenants.trace(
-                auth.tenant, scheme, document,
-                shape=_request_shape(request), strategy=strategy,
-                recipients=recipients)
-        else:
-            trace = self.system.trace(
-                scheme, document, shape=_request_shape(request),
-                strategy=strategy, recipients=recipients)
+        document = parse(text, strip_whitespace=True)
+        try:
+            if auth is not None:
+                # The directory's trace never leaves the tenant's
+                # registry namespace and sweeps every key generation of
+                # the scheme.
+                trace = self.tenants.trace(
+                    auth.tenant, scheme, document,
+                    shape=_request_shape(request), strategy=strategy,
+                    recipients=recipients)
+            else:
+                trace = self.system.trace(
+                    scheme, document, shape=_request_shape(request),
+                    strategy=strategy, recipients=recipients)
+        finally:
+            document.release()
         return 200, protocol.ok_response({"trace": trace.to_dict()}), {
             protocol.FINGERPRINT_HEADER:
                 self._system_for(auth).scheme_fingerprint(scheme)}
@@ -922,6 +923,18 @@ def _record_list(request: dict, count: int) -> list[WatermarkRecord]:
     record = WatermarkRecord.from_dict(
         protocol.required_field(request, "record", dict))
     return [record] * count
+
+
+def _embed_unrecorded(system: WmXMLSystem, pipeline, documents: list,
+                      message: str, processes: Optional[int]) -> list:
+    """The degraded-mode embed: what ``system.embed_many`` returns,
+    records stamped with the same tenancy identity, but never
+    appended to the registry."""
+    results = pipeline.embed_many(documents, message, processes=processes,
+                                  output="xml")
+    for result in results:
+        system.stamp(result.record)
+    return results
 
 
 def _embed_payload(result) -> dict:

@@ -642,6 +642,28 @@ class Document:
             epilog=[node.copy() for node in self.epilog],
         )
 
+    def release(self) -> None:
+        """Break the tree's reference cycles so refcounting frees it.
+
+        Every node points up through ``parent`` and every element down
+        through ``children`` and its indexes, so a dropped tree is a
+        cycle only the cyclic collector reclaims, and it survives to
+        the oldest generation first.  Releasing clears those links
+        (iteratively, so any depth is safe), leaving every node
+        detached and the document empty.  Call it only on a tree the
+        caller created and hands to nobody else.
+        """
+        stack: list[Node] = [self.root]
+        while stack:
+            node = stack.pop()
+            node.parent = None
+            if isinstance(node, Element):
+                stack.extend(node.children)
+                node.children.clear()
+                node._child_index = None
+                node._order_cache = None
+                node._descendant_cache = None
+
     def count_elements(self) -> int:
         """Total number of elements in the document."""
         return sum(1 for _ in self.iter_elements())

@@ -248,15 +248,29 @@ class TestWmXMLSystem:
         system = api.WmXMLSystem("secret")
         system.register("bib", bibliography.default_scheme(2))
         text = serialize(_small_bibliography(seed=3))
+        message = recipient or "(c) me"
+        pipeline = (system.pipeline("bib") if recipient is None
+                    else system.recipient_pipeline("bib", recipient))
         batch = system.embed_many("bib", [text], "(c) me", output="xml",
                                   recipient=recipient)[0]
-        result = system.embed("bib", text, "(c) me", recipient=recipient)
-        assert serialize(result.document) == batch.xml
-        assert result.record.to_dict() == batch.record.to_dict()
+        singles = [system.embed("bib", text, "(c) me",
+                                recipient=recipient),
+                   pipeline.embed(text, message)]
         if recipient is not None:
-            issued = system.issue("bib", text, recipient)
-            assert serialize(issued.document) == batch.xml
-            assert issued.record.to_dict() == batch.record.to_dict()
+            singles.append(system.issue("bib", text, recipient))
+        for result in singles:
+            assert serialize(result.document) == batch.xml
+            assert result.record.to_dict() == batch.record.to_dict()
+        item = [(batch.xml, batch.record)]
+        for single, many in [
+                (pipeline.detect(batch.xml, batch.record,
+                                 expected=message),
+                 pipeline.detect_many(item, expected=message)[0]),
+                (system.detect("bib", batch.xml, batch.record,
+                               expected=message),
+                 system.detect_many("bib", item, expected=message)[0])]:
+            assert single.to_dict() == many.to_dict()
+        assert pipeline.detect(batch.xml, batch.record).detected
 
     def test_key_never_exposed_in_repr(self):
         system = api.WmXMLSystem("super-secret-key")

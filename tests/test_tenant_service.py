@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.datasets import bibliography
+from repro.faults import injected
 from repro.registry import WatermarkRegistry
 from repro.registry.backend import MemoryBackend
 from repro.service import (
@@ -515,6 +516,45 @@ class TestPagingValidation:
             "GET", "/v1/records?offset=0&limit=5", b"", headers)
         assert status == 200
         assert payload["total"] == 0
+
+
+class TestDegradedTenantEmbed:
+    """An embed served unrecorded is the same embed, tenancy stamp and
+    all: only ``recorded`` tells it apart."""
+
+    @pytest.fixture()
+    def sqlite_stack(self, tmp_path):
+        directory = TenantDirectory(
+            TenantsConfig.from_dict(CONFIG),
+            registry=WatermarkRegistry.open(str(tmp_path / "reg.db")))
+        directory.register_all("books", bibliography.default_scheme(2))
+        return WmXMLService(tenants=directory), directory
+
+    @pytest.mark.parametrize("branch", ["already-dark", "append-failed"])
+    def test_degraded_record_equals_the_recorded_one(
+            self, sqlite_stack, golden_text, branch):
+        service, directory = sqlite_stack
+        headers = _bearer(directory.mint_token("acme"))
+        body = _body(scheme="books", document=golden_text,
+                     recipient="alice")
+        if branch == "already-dark":
+            with injected("registry.sqlite.read", error="sqlite"):
+                service.dispatch("GET", "/v1/healthz")  # trip the flag
+                status, degraded, _ = service.dispatch(
+                    "POST", "/v1/embed", body, headers)
+        else:
+            with injected("registry.sqlite.commit", error="sqlite",
+                          times=1):
+                status, degraded, _ = service.dispatch(
+                    "POST", "/v1/embed", body, headers)
+        assert status == 200 and degraded["recorded"] is False
+        status, recorded, _ = service.dispatch(
+            "POST", "/v1/embed", body, headers)
+        assert status == 200 and recorded["recorded"] is True
+        assert recorded["record"]["tenant"] == "acme"
+        assert recorded["record"]["key_id"] == 1
+        assert degraded["record"] == recorded["record"]
+        assert degraded["xml"] == recorded["xml"]
 
 
 class TestSingleTenantUnchanged:
