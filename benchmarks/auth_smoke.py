@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -31,14 +30,13 @@ import time
 import urllib.error
 import urllib.request
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO, "src"))
+# Imported first: it puts src/ on sys.path for the repro imports.
+from smoke_daemon import (REPO, cli_env, read_bound_port, start_daemon,
+                          stop_daemon)
 
-from repro.datasets import bibliography  # noqa: E402
-from repro.service import RemoteServiceError, WmXMLClient  # noqa: E402
-from repro.xmlmodel import serialize  # noqa: E402
-
-from service_smoke import read_bound_port  # noqa: E402
+from repro.datasets import bibliography
+from repro.service import RemoteServiceError, WmXMLClient
+from repro.xmlmodel import serialize
 
 TENANTS = {
     "format": "wmxml-tenants-v1",
@@ -84,15 +82,11 @@ def main() -> int:
         with open(tenants_path, "w", encoding="utf-8") as handle:
             json.dump(TENANTS, handle)
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (os.path.join(REPO, "src")
-                             + os.pathsep + env.get("PYTHONPATH", ""))
-        daemon = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.cli", "serve",
-             "--scheme", f"books={scheme_path}",
-             "--tenants", tenants_path, "--port", "0",
-             "--registry", os.path.join(tmp, "registry.db")],
-            env=env, cwd=REPO, stdout=subprocess.PIPE, text=True)
+        env = cli_env()
+        daemon = start_daemon(
+            ["--scheme", f"books={scheme_path}",
+             "--tenants", tenants_path,
+             "--registry", os.path.join(tmp, "registry.db")])
         try:
             port = read_bound_port(daemon)
             base = f"http://127.0.0.1:{port}"
@@ -158,13 +152,7 @@ def main() -> int:
             assert stats["tenant"]["errors"] >= 1, stats
             print(f"client retry ok: waited {waited:.2f}s for refill")
         finally:
-            daemon.send_signal(signal.SIGTERM)
-            try:
-                returncode = daemon.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                daemon.kill()
-                daemon.wait()
-                returncode = -9
+            returncode = stop_daemon(daemon)
         assert returncode == 0, f"daemon exited {returncode}, not 0"
         print("clean shutdown ok (exit 0)")
         print("AUTH SMOKE PASSED")

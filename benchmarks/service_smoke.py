@@ -14,40 +14,14 @@ Run from the repo root::
 from __future__ import annotations
 
 import os
-import re
-import signal
-import subprocess
-import sys
 import tempfile
-import threading
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO, "src"))
+# Imported first: it puts src/ on sys.path for the repro imports.
+from smoke_daemon import read_bound_port, start_daemon, stop_daemon
 
-from repro.datasets import bibliography  # noqa: E402
-from repro.service import WmXMLClient  # noqa: E402
-from repro.xmlmodel import serialize  # noqa: E402
-
-
-def read_bound_port(daemon: subprocess.Popen) -> int:
-    """Parse the ephemeral port from the daemon's startup banner.
-
-    ``--port 0`` lets the daemon pick the port itself — no
-    probe-then-rebind race with other processes on a busy CI host.
-    The remaining output keeps draining on a thread (echoed through)
-    so the pipe can never fill and block the daemon.
-    """
-    for line in daemon.stdout:
-        print(line, end="")
-        match = re.search(r"listening on http://[^:]+:(\d+)", line)
-        if match:
-            threading.Thread(
-                target=lambda: [print(rest, end="")
-                                for rest in daemon.stdout],
-                daemon=True).start()
-            return int(match.group(1))
-    raise AssertionError(
-        f"daemon exited (code {daemon.wait()}) before printing its port")
+from repro.datasets import bibliography
+from repro.service import WmXMLClient
+from repro.xmlmodel import serialize
 
 
 def main() -> int:
@@ -55,14 +29,9 @@ def main() -> int:
         scheme_path = os.path.join(tmp, "books.json")
         bibliography.default_scheme(2).save(scheme_path)
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (os.path.join(REPO, "src")
-                             + os.pathsep + env.get("PYTHONPATH", ""))
-        daemon = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.cli", "serve",
-             "--scheme", f"books={scheme_path}", "--key", "smoke-secret",
-             "--port", "0", "--processes", "2"],
-            env=env, cwd=REPO, stdout=subprocess.PIPE, text=True)
+        daemon = start_daemon(
+            ["--scheme", f"books={scheme_path}", "--key", "smoke-secret",
+             "--processes", "2"])
         try:
             port = read_bound_port(daemon)
             client = WmXMLClient(f"http://127.0.0.1:{port}",
@@ -102,15 +71,7 @@ def main() -> int:
             print(f"stats ok: {stats['requests']} requests, "
                   f"{len(stats['endpoints'])} endpoints timed")
         finally:
-            daemon.send_signal(signal.SIGTERM)
-            try:
-                returncode = daemon.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                # Don't let a wedged daemon mask the real failure (and
-                # don't leave the process alive on the runner).
-                daemon.kill()
-                daemon.wait()
-                returncode = -9
+            returncode = stop_daemon(daemon)
         assert returncode == 0, f"daemon exited {returncode}, not 0"
         print("clean shutdown ok (exit 0)")
         print("SERVICE SMOKE PASSED")

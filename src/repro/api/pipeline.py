@@ -109,7 +109,6 @@ from repro.core.record import WatermarkRecord, all_same_record
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
 from repro.errors import WmXMLError
-from repro.perf.profiler import profiled
 from repro.semantics.shape import DocumentShape
 from repro.xmlmodel.parser import parse, parse_many
 from repro.xmlmodel.serializer import serialize
@@ -347,7 +346,6 @@ class Pipeline:
         return self._encoder.embed(document, _as_watermark(message),
                                    in_place=in_place)
 
-    @profiled("api.embed_many")
     def embed_many(self, documents: Iterable[DocumentLike],
                    message: MessageLike,
                    in_place: bool = False,
@@ -357,8 +355,7 @@ class Pipeline:
 
         One compiled pipeline serves the whole batch, so the PRF digest
         memo and plug-in instances warmed by the first document are
-        reused by the rest (tracked by the E9 bench's
-        ``api_embed_many_ms`` stage).
+        reused by the rest.
 
         Entries may be raw XML strings.  With ``processes=N`` the full
         per-document pipeline (parse -> embed -> serialise) is sharded
@@ -431,7 +428,6 @@ class Pipeline:
             parsed.release()
         return result
 
-    @profiled("api.detect_many")
     def detect_many(
         self,
         items: Iterable[tuple[DocumentLike, WatermarkRecord]],

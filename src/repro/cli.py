@@ -55,8 +55,6 @@ from repro.core.crypto import KeyedPRF
 from repro.datasets import bibliography, jobs, library
 from repro.errors import error_payload
 from repro.harness import EXPERIMENTS, ExperimentConfig
-from repro.perf import StageTimer, ThroughputReporter, use_timer
-from repro.perf import bench as perf_bench
 from repro.registry import RegistryUnavailableError
 from repro.semantics import (
     discover_fds,
@@ -202,18 +200,12 @@ def cmd_embed(args: argparse.Namespace) -> int:
                          issuer=args.issuer)
     if len(args.input) > 1:
         return _embed_batch(args, scheme, system)
-    timer = StageTimer()
-    with use_timer(timer):
-        with timer.stage("parse"):
-            document = parse_file(args.input[0], strip_whitespace=True)
-        result = system.embed(scheme, document, args.message,
-                              recipient=args.recipient)
-        with timer.stage("write"):
-            write_file(args.output, result.document)
-            if args.record:
-                result.record.save(args.record)
-    if args.profile_stages:
-        print(timer.render("embed pipeline stages"))
+    document = parse_file(args.input[0], strip_whitespace=True)
+    result = system.embed(scheme, document, args.message,
+                          recipient=args.recipient)
+    write_file(args.output, result.document)
+    if args.record:
+        result.record.save(args.record)
     stats = result.stats
     issued = (f" (issued to {args.recipient!r} under their derived key)"
               if args.recipient else "")
@@ -326,15 +318,10 @@ def _run_detect(args: argparse.Namespace) -> int:
     record = WatermarkRecord.load(args.record)
     if len(args.input) > 1:
         return _detect_batch(args, scheme, system, record, shape, strategy)
-    timer = StageTimer()
-    with use_timer(timer):
-        with timer.stage("parse"):
-            document = parse_file(args.input[0], strip_whitespace=True)
-        outcome = system.detect(scheme, document, record,
-                                expected=args.message or None,
-                                shape=shape, strategy=strategy)
-    if args.profile_stages:
-        print(timer.render("detect pipeline stages"))
+    document = parse_file(args.input[0], strip_whitespace=True)
+    outcome = system.detect(scheme, document, record,
+                            expected=args.message or None,
+                            shape=shape, strategy=strategy)
     print(outcome)
     if outcome.recovered_message:
         print(f"recovered message: {outcome.recovered_message!r}")
@@ -398,15 +385,10 @@ def _detect_batch(args: argparse.Namespace, scheme: WatermarkingScheme,
     for path in args.input:
         with open(path, "r", encoding="utf-8") as handle:
             texts.append(handle.read())
-    timer = StageTimer()
-    with use_timer(timer):
-        with timer.stage("detect batch"):
-            outcomes = system.detect_many(
-                scheme, [(text, record) for text in texts],
-                expected=args.message or None, shape=shape,
-                strategy=strategy, processes=args.processes)
-    if args.profile_stages:
-        print(timer.render("batch detect stages"))
+    outcomes = system.detect_many(
+        scheme, [(text, record) for text in texts],
+        expected=args.message or None, shape=shape,
+        strategy=strategy, processes=args.processes)
     detected = 0
     for path, outcome in zip(args.input, outcomes):
         print(f"{path}: {outcome}")
@@ -902,53 +884,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Stage-timed embed/detect pipeline with throughput rates."""
-    profile = _profile(args.profile)
-    document = profile.generate(args.size, args.seed)
-    scheme = _scheme_for(args, profile, gamma=args.gamma)
-    system = WmXMLSystem(args.key)
-    pipeline = system.pipeline(scheme)
-    timer = StageTimer()
-    with use_timer(timer):
-        with timer.stage("embed (total)"):
-            result = pipeline.embed(document, args.message)
-        with timer.stage("detect (scan)"):
-            scan = pipeline.detect(result.document, result.record,
-                                   expected=args.message, strategy="scan")
-        with timer.stage("detect (indexed)"):
-            indexed = pipeline.detect(result.document, result.record,
-                                      expected=args.message,
-                                      strategy="indexed")
-    if not (scan.detected and indexed.detected):
-        print("warning: pipeline failed to detect its own watermark")
-    elements = document.count_elements()
-    print(timer.render(f"pipeline stages ({args.profile}, "
-                       f"{args.size} entities, {elements} elements)"))
-    reporter = ThroughputReporter()
-    reporter.add("embed", elements, timer.total_ms("embed (total)") / 1000,
-                 unit="elements")
-    reporter.add("detect-scan", len(result.record.queries),
-                 timer.total_ms("detect (scan)") / 1000, unit="queries")
-    reporter.add("detect-indexed", len(result.record.queries),
-                 timer.total_ms("detect (indexed)") / 1000, unit="queries")
-    print()
-    print(reporter.render())
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the E9 regression bench and archive BENCH_e9.json."""
-    try:
-        return perf_bench.run_and_check(
-            path=args.output, books=args.books, repeats=args.repeats,
-            check=not args.no_check, smoke=args.smoke,
-            processes=args.processes)
-    except (perf_bench.BenchError, ValueError) as error:
-        print(f"error: {error}")
-        return 2
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig(books=args.size, seed=args.seed)
     if args.id == "all":
@@ -1028,9 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard a multi-document batch over N worker "
                        "processes (parse + embed + serialise fused "
                        "per document)")
-    embed.add_argument("--profile-stages", dest="profile_stages",
-                       action="store_true",
-                       help="print per-stage timings after embedding")
     embed.set_defaults(handler=cmd_embed)
 
     detect = sub.add_parser("detect", help="detect a watermark")
@@ -1070,9 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "processes (parse + detect fused per document)")
     detect.add_argument("--result", help="also save the detection result "
                         "as versioned JSON here")
-    detect.add_argument("--profile-stages", dest="profile_stages",
-                        action="store_true",
-                        help="print per-stage timings after detection")
     detect.set_defaults(handler=cmd_detect)
 
     attack = sub.add_parser("attack", help="apply a §4 attack")
@@ -1295,33 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="list the deterministic fault-injection points")
     faults.set_defaults(handler=cmd_faults)
-
-    perf = sub.add_parser("perf", help="stage-timed pipeline profile")
-    perf.add_argument("--profile", default="bibliography",
-                      choices=sorted(PROFILES))
-    perf.add_argument("--scheme", dest="scheme_file",
-                      help="declarative scheme.json deployment artefact")
-    perf.add_argument("--size", type=int, default=200)
-    perf.add_argument("--seed", type=int, default=42)
-    perf.add_argument("--gamma", type=int, default=2)
-    perf.add_argument("--key", "-k", default="wmxml-perf-key")
-    perf.add_argument("--message", "-m", default="(c) WmXML")
-    perf.set_defaults(handler=cmd_perf)
-
-    bench = sub.add_parser(
-        "bench", help="run the E9 regression bench (BENCH_e9.json)")
-    bench.add_argument("--books", type=int, default=200)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--output", "-o", default=perf_bench.BENCH_FILE)
-    bench.add_argument("--no-check", action="store_true",
-                       help="record timings without gating on regression")
-    bench.add_argument("--smoke", action="store_true",
-                       help="CI smoke mode: single repetition, no "
-                       "regression gate, no archive write")
-    bench.add_argument("--processes", type=int, default=4,
-                       help="worker count for the parallel batch-engine "
-                       "stages (0 skips them; default 4)")
-    bench.set_defaults(handler=cmd_bench)
 
     experiment = sub.add_parser("experiment",
                                 help="run an E1-E10 experiment")

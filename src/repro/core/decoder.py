@@ -38,7 +38,6 @@ from repro.core.watermark import (
 )
 from repro.errors import RecordFormatError
 from repro.serialize import VersionedDocument
-from repro.perf.profiler import profiled
 from repro.rewriting.executor import LogicalExecutor
 from repro.rewriting.rewriter import compile_logical
 from repro.semantics.errors import RecordError
@@ -165,7 +164,6 @@ class WmXMLDecoder:
 
     # -- public API ------------------------------------------------------------
 
-    @profiled("decoder.detect")
     def detect(
         self,
         document: Document,

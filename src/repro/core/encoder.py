@@ -24,7 +24,6 @@ from repro.core.record import WatermarkQuery, WatermarkRecord
 from repro.core.scheme import WatermarkingScheme
 from repro.core.selection import SelectionStats, select_groups
 from repro.core.watermark import Watermark
-from repro.perf.profiler import profiled
 from repro.xmlmodel.tree import Document, Element, Text
 from repro.xpath import NodeLike
 from repro.xpath.values import AttributeNode
@@ -166,7 +165,6 @@ class WmXMLEncoder:
 
     # -- public API ------------------------------------------------------------
 
-    @profiled("encoder.embed")
     def embed(self, document: Document, watermark: Watermark,
               in_place: bool = False) -> EmbeddingResult:
         """Embed ``watermark`` and return the marked copy plus Q.

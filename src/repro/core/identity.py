@@ -28,7 +28,6 @@ from functools import cached_property
 from json.encoder import encode_basestring as _json_string
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from repro.perf.profiler import profiled
 from repro.rewriting.logical import LogicalQuery
 from repro.semantics.errors import RecordError
 from repro.semantics.records import Row
@@ -197,7 +196,6 @@ class CarrierGroup:
         return len(set(self.values)) <= 1
 
 
-@profiled("identity.group")
 def build_carrier_groups(
     rows: Sequence[Row],
     carriers: Sequence[CarrierSpec],

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from repro.core.crypto import KeyedPRF
 from repro.core.identity import CarrierGroup
-from repro.perf.profiler import profiled
 
 
 @dataclass
@@ -46,7 +45,6 @@ class SelectionStats:
         return self.selected / self.candidates
 
 
-@profiled("selection.select")
 def select_groups(
     groups: Sequence[CarrierGroup],
     prf: KeyedPRF,

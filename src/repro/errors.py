@@ -89,8 +89,9 @@ class WatermarkDecodeError(WmXMLError, ValueError):
 
 #: The one code -> HTTP status table, shared by the service's error
 #: envelopes and the CLI's ``--result`` JSON.  Codes declared by other
-#: layers (xmlmodel, xpath, semantics, core, perf, service) appear here
-#: too, so the whole mapping is auditable in one place; the test suite
+#: layers (xmlmodel, xpath, semantics, core, service, registry, tenants,
+#: faults) appear here too, so the whole mapping is auditable in one
+#: place; the test suite
 #: asserts every WmXMLError subclass's code has an entry.
 HTTP_STATUS_BY_CODE: dict[str, int] = {
     # root / artefacts
@@ -118,8 +119,6 @@ HTTP_STATUS_BY_CODE: dict[str, int] = {
     "record-mismatch": 422,
     # repro.core
     "algorithm-error": 400,
-    # repro.perf
-    "bench-error": 500,
     # repro.service — request-level protocol errors
     "service-error": 500,
     "malformed-request": 400,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from repro.perf.profiler import profiled
 from repro.semantics.errors import RecordError
 from repro.semantics.nesting import LevelSpec, NestingSpec
 from repro.semantics.records import FieldSpec, RecordSpec, Row
@@ -131,7 +130,6 @@ class DocumentShape:
             plan.append((spec, placement.kind, placement.name, hops))
         return tuple(plan)
 
-    @profiled("shape.shred")
     def shred(self, document: Union[Document, Element]) -> list[Row]:
         """Flatten a document of this shape into logical rows.
 

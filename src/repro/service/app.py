@@ -61,7 +61,6 @@ from repro.registry import (RegistryNotConfiguredError,
                             RegistryUnavailableError, WatermarkRegistry)
 from repro.semantics.shape import DocumentShape
 from repro.errors import WmXMLError, error_code, http_status_for
-from repro.perf.timers import StageTimer
 from repro.service import protocol
 from repro.tenants import TenantDirectory
 from repro.tenants.errors import (ForbiddenError, RateLimitedError,
@@ -131,7 +130,9 @@ class WmXMLService:
         # Serialises the ceiling check + insert of PUT /v1/schemes so
         # concurrent PUTs cannot race past the ceiling.
         self._registry_lock = threading.Lock()
-        self._timer = StageTimer()
+        # Per-endpoint latency: label -> [calls, total seconds], in
+        # first-recorded order.
+        self._latency: dict[str, list] = {}
         self._stats_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
@@ -243,7 +244,7 @@ class WmXMLService:
         with self._stats_lock:
             self._requests += 1
             self._errors += failed
-            self._timer.record(label, time.perf_counter() - start)
+            self._record_latency(label, time.perf_counter() - start)
             if tenant is not None:
                 counters = self._tenant_counters[tenant]
                 counters["requests"] += 1
@@ -263,7 +264,13 @@ class WmXMLService:
         with self._stats_lock:
             self._requests += 1
             self._errors += 1
-            self._timer.record(label, 0.0)
+            self._record_latency(label, 0.0)
+
+    def _record_latency(self, label: str, seconds: float) -> None:
+        # The caller holds _stats_lock.
+        entry = self._latency.setdefault(label, [0, 0.0])
+        entry[0] += 1
+        entry[1] += seconds
 
     def _route(self, method: str, path: str, body: bytes,
                headers: dict) -> tuple[int, Optional[dict], dict]:
@@ -398,12 +405,11 @@ class WmXMLService:
 
     def _stats(self, auth: Optional[TokenClaims] = None) -> dict:
         with self._stats_lock:
-            endpoints = {
-                name: {"calls": stats.calls,
-                       "total_ms": stats.total_ms,
-                       "mean_ms": stats.mean_ms}
-                for name, stats in self._timer.stages.items()
-            }
+            endpoints = {}
+            for name, (calls, seconds) in self._latency.items():
+                total_ms = seconds * 1000.0
+                endpoints[name] = {"calls": calls, "total_ms": total_ms,
+                                   "mean_ms": total_ms / calls}
             payload = {"requests": self._requests,
                        "errors": self._errors,
                        "version": __version__,
@@ -795,8 +801,8 @@ def _required_scope(method: str, path: str) -> Optional[str]:
 
 
 #: Routed paths get their own stats bucket; everything else collapses
-#: to one, so a scanner probing random URLs cannot grow the StageTimer
-#: (and every /v1/stats payload) without bound.
+#: to one, so a scanner probing random URLs cannot grow the latency
+#: table (and every /v1/stats payload) without bound.
 _KNOWN_ENDPOINTS = frozenset({
     "/v1/healthz", "/v1/stats", "/v1/embed", "/v1/embed/batch",
     "/v1/detect", "/v1/detect/batch", "/v1/schemes",
@@ -1023,9 +1029,16 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         for name, value in headers.items():
             self.send_header(name, value)
-        self.end_headers()
-        if data and not head_only:
-            self.wfile.write(data)
+        # Status line, headers and body leave in one write: a second
+        # send on a keep-alive connection waits (Nagle) for the
+        # client's delayed ACK, ~40 ms per response.  This is
+        # end_headers() with the body appended before the flush.
+        body = b"" if head_only else data
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+            return
+        self._headers_buffer += [b"\r\n", body]
+        self.flush_headers()
 
     # Every verb routes through dispatch so even a DELETE/PATCH gets
     # the method-not-allowed *envelope*, not http.server's HTML 501;

@@ -13,7 +13,7 @@ from repro.core.algorithms import AlgorithmError, create_algorithm
 from repro.core.watermark import Watermark
 from repro.datasets import bibliography
 from repro.errors import WmXMLError
-from repro.perf.bench import BenchError
+from repro.registry.errors import RegistryError
 from repro.semantics.errors import (
     ConstraintError,
     RecordError,
@@ -28,9 +28,9 @@ from repro.xpath.errors import XPathError, XPathSyntaxError
 #: Every public error class must descend from the one base.
 PUBLIC_ERRORS = [
     AlgorithmError,
-    BenchError,
     ConstraintError,
     RecordError,
+    RegistryError,
     SchemaError,
     SemanticsError,
     XMLError,
@@ -109,16 +109,16 @@ class TestLegacyCatchStylesStillWork:
     def test_builtin_bases_kept_for_dual_parented_errors(self):
         assert issubclass(api.SerializationError, ValueError)
         assert issubclass(api.UnknownSchemeError, KeyError)
-        assert issubclass(BenchError, RuntimeError)
+        assert issubclass(RegistryError, RuntimeError)
         assert issubclass(api.WatermarkDecodeError, ValueError)
 
 
 def _all_error_classes() -> list[type]:
     """Every WmXMLError subclass defined anywhere in the system.
 
-    Importing ``repro.api``, ``repro.service`` and ``repro.perf.bench``
-    (done at module top) loads every layer that declares errors; the
-    recursive subclass walk then finds the complete hierarchy.
+    Importing ``repro.api`` (done at module top) and ``repro.service``
+    loads every layer that declares errors; the recursive subclass walk
+    then finds the complete hierarchy.
     """
     import repro.service  # noqa: F401 - registers the service errors
 

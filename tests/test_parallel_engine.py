@@ -210,6 +210,8 @@ class TestPooledDetect:
         assert ([outcome.to_dict() for outcome in pooled]
                 == [outcome.to_dict() for outcome in serial])
         assert all(outcome.detected for outcome in pooled)
+        assert all(outcome.queries_answered == outcome.queries_total
+                   for outcome in pooled)
 
     def test_blind_detection_matches_serial(self, pipeline, items):
         serial = pipeline.detect_many(items)

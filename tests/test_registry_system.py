@@ -147,6 +147,7 @@ class TestPooledAppendEquivalence:
                                if k != "created_at"}
         assert ([strip(e) for e in serial.registry.records()]
                 == [strip(e) for e in pooled.registry.records()])
+        assert pooled.registry.count() == len(documents)
         assert pooled.registry.verify_chain().intact
 
     def test_issue_many_records_every_copy(self, scheme):

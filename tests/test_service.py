@@ -267,7 +267,17 @@ class TestDispatchProtocol:
         assert status == 200
         assert payload["requests"] == 2
         assert payload["errors"] == 1
-        assert payload["endpoints"]["GET /v1/healthz"]["calls"] == 1
+        assert list(payload) == ["format", "ok", "requests", "errors",
+                                 "version", "uptime_s", "endpoints"]
+        # Endpoints in first-recorded order, each with the same three
+        # latency fields.
+        endpoints = payload["endpoints"]
+        assert list(endpoints) == ["GET /v1/healthz", "GET (unknown)"]
+        assert endpoints["GET /v1/healthz"]["calls"] == 1
+        for entry in endpoints.values():
+            assert list(entry) == ["calls", "total_ms", "mean_ms"]
+            assert entry["total_ms"] >= 0
+            assert entry["mean_ms"] == entry["total_ms"] / entry["calls"]
 
     def test_scheme_paths_share_one_stats_bucket(self, system):
         service = WmXMLService(system)
@@ -437,6 +447,78 @@ class TestSchemeRegistryOverHTTP:
         fingerprint = client.put_scheme(name, scheme)
         assert client.list_schemes()[name] == fingerprint
         assert client.get_scheme(name).to_dict() == scheme.to_dict()
+
+
+class _RecordingWriter:
+    """A handler's ``wfile`` that logs every write it passes through."""
+
+    def __init__(self, inner, writes: list) -> None:
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestOneWritePerResponse:
+    """Status line, headers and body leave the handler in one write.
+
+    A second write on a keep-alive connection waits (Nagle) for the
+    client's delayed ACK, so every response must be a single write —
+    with a body, without one (304, HEAD) and on a refusal.
+    """
+
+    def test_every_response_is_one_write(self, system, golden_text):
+        import http.client
+
+        writes: list[bytes] = []
+        with running_server(WmXMLService(system)) as server:
+            handler = server.RequestHandlerClass
+
+            class Recording(handler):
+                def setup(self):
+                    super().setup()
+                    self.wfile = _RecordingWriter(self.wfile, writes)
+
+            server.RequestHandlerClass = Recording
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=30)
+            responses = []
+
+            def exchange(method, path, body=None, headers=None):
+                conn.request(method, path, body=body,
+                             headers=headers or {})
+                response = conn.getresponse()
+                responses.append((response.status, response.read()))
+                return response
+
+            try:
+                # One keep-alive connection: a 200 with a body larger
+                # than any write buffer, a 304 and a HEAD.
+                exchange("POST", "/v1/embed", _request_body(
+                    scheme="books", document=golden_text,
+                    message=MESSAGE))
+                etag = exchange("GET", "/v1/schemes/books") \
+                    .getheader("ETag")
+                exchange("GET", "/v1/schemes/books",
+                         headers={"If-None-Match": etag})
+                exchange("HEAD", "/v1/healthz")
+                # A refusal (chunked framing) answers and closes.
+                exchange("POST", "/v1/embed", b"0\r\n\r\n",
+                         {"Transfer-Encoding": "chunked"})
+            finally:
+                conn.close()
+        assert [status for status, _ in responses] == [
+            200, 200, 304, 200, 400]
+        assert len(responses[0][1]) > 8192
+        assert len(writes) == len(responses)
+        for write, (status, body) in zip(writes, responses):
+            assert write.startswith(f"HTTP/1.1 {status} ".encode())
+            assert write.endswith(b"\r\n\r\n" + body)
 
 
 class TestConcurrentRequests:
